@@ -728,6 +728,123 @@ let scale () =
   emit "rows" (Obs.Json.List (List.rev !rows))
 
 (* ------------------------------------------------------------------ *)
+(* Per-event cost vs FIB size: the 224-device Clos at growing rack-prefix
+   counts. Per-message work must follow what a message changed, not the
+   size of the table, so µs/event should stay near flat from 1 to 144
+   prefixes (it grew 9 -> 286 µs/event when every message rebuilt and
+   diffed the whole FIB). *)
+
+(* The git revision of the working directory, if there is one. *)
+let git_rev () =
+  match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
+  | exception Unix.Unix_error _ -> None
+  | ic ->
+    let line = try Some (input_line ic) with End_of_file -> None in
+    (match (Unix.close_process_in ic, line) with
+     | Unix.WEXITED 0, Some rev -> Some (String.trim rev)
+     | _ -> None)
+
+(* The shipped configuration: the section's span recorder and metrics
+   registry are set aside (a zero-capacity recorder drops every span at
+   the cost of one comparison), so the figures are those of an untraced
+   run. *)
+let untraced f =
+  let was = Obs.Metrics.is_enabled Obs.Metrics.default in
+  Obs.Metrics.set_enabled Obs.Metrics.default false;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled Obs.Metrics.default was)
+    (fun () -> Obs.Span.with_recorder (Obs.Span.create ~max_spans:0 ()) f)
+
+let scale_prefixes () =
+  header "scale_prefixes: per-event cost vs FIB size"
+    "(not a paper figure) 224-device Clos, default route + N rack /24s: \
+     us/event stays near flat as N grows";
+  let runs = 3 in
+  let tagged =
+    Net.Attr.make
+      ~communities:
+        (Net.Community.Set.singleton
+           Net.Community.Well_known.backbone_default_route)
+      ()
+  in
+  let converge_once racks =
+    let f = Topology.Clos.fabric ~pods:12 ~rsws_per_pod:12 () in
+    let net = Bgp.Network.create ~seed:5 f.Topology.Clos.graph in
+    List.iter
+      (fun eb -> Bgp.Network.originate net eb Net.Prefix.default_v4 tagged)
+      f.Topology.Clos.ebs;
+    List.iteri
+      (fun i rsw ->
+        if i < racks then
+          Bgp.Network.originate net rsw
+            (Net.Prefix.v4 10 (1 + (i / 256)) (i mod 256) 0 24)
+            (Net.Attr.make ()))
+      f.Topology.Clos.rsws;
+    let w0 = Gc.minor_words () in
+    let t0 = Monotonic_clock.now () in
+    let events = Bgp.Network.converge net in
+    let us = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e3 in
+    let words = Gc.minor_words () -. w0 in
+    (events, us /. float_of_int events, words /. float_of_int events)
+  in
+  let median xs = (Dsim.Stats.summarize xs).Dsim.Stats.p50 in
+  pf "%8s %10s %12s %14s %12s
+" "prefixes" "events" "us/event" "words/event"
+    "top heap MB";
+  let rows =
+    List.map
+      (fun racks ->
+        let samples =
+          List.init runs (fun _ -> untraced (fun () -> converge_once racks))
+        in
+        let events = List.fold_left (fun _ (e, _, _) -> e) 0 samples in
+        let us = median (List.map (fun (_, u, _) -> u) samples) in
+        let words = median (List.map (fun (_, _, w) -> w) samples) in
+        (* Sizes run in increasing order, so the process's top heap after
+           a size is that size's peak (the runtime never lowers it). *)
+        let heap_mb =
+          let words = (Gc.quick_stat ()).Gc.top_heap_words in
+          float_of_int (words * (Sys.word_size / 8)) /. 1e6
+        in
+        pf "%8d %10d %12.2f %14.1f %12.1f
+" (racks + 1) events us words heap_mb;
+        (racks, events, us, words, heap_mb))
+      [ 1; 16; 64; 144 ]
+  in
+  let us_of racks =
+    List.fold_left
+      (fun acc (r, _, us, _, _) -> if r = racks then us else acc)
+      0.0 rows
+  in
+  let ratio = us_of 144 /. us_of 1 in
+  pf "us/event, 144 vs 1 rack prefixes: %.2fx (median of %d runs each)
+" ratio
+    runs;
+  emit "command"
+    (Obs.Json.List
+       (List.map (fun a -> Obs.Json.String a) (Array.to_list Sys.argv)));
+  emit "git_rev"
+    (match git_rev () with
+     | Some rev -> Obs.Json.String rev
+     | None -> Obs.Json.Null);
+  emit "runs_per_size" (Obs.Json.Int runs);
+  emit "rows"
+    (Obs.Json.List
+       (List.map
+          (fun (racks, events, us, words, heap_mb) ->
+            Obs.Json.Obj
+              [
+                ("rack_prefixes", Obs.Json.Int racks);
+                ("prefixes", Obs.Json.Int (racks + 1));
+                ("events", Obs.Json.Int events);
+                ("us_per_event", Obs.Json.Float us);
+                ("minor_words_per_event", Obs.Json.Float words);
+                ("peak_heap_mb", Obs.Json.Float heap_mb);
+              ])
+          rows));
+  emit "us_per_event_ratio_144_vs_1" (Obs.Json.Float ratio)
+
+(* ------------------------------------------------------------------ *)
 (* Management-plane chaos: resilient deploy under faults, crash+resume *)
 
 let chaos () =
@@ -1198,6 +1315,7 @@ let sections =
     ("perf", perf);
     ("ablations", ablations);
     ("scale", scale);
+    ("scale_prefixes", scale_prefixes);
     ("micro", micro);
     ("chaos", chaos);
     ("chaos_gr", chaos_gr);

@@ -8,6 +8,14 @@ let prefix = function
   | Update { prefix; _ } | Withdraw { prefix } -> Some prefix
   | Keepalive | Eor -> None
 
+let equal a b =
+  match (a, b) with
+  | Update a, Update b ->
+    Net.Prefix.equal a.prefix b.prefix && Net.Attr.equal a.attr b.attr
+  | Withdraw a, Withdraw b -> Net.Prefix.equal a.prefix b.prefix
+  | Keepalive, Keepalive | Eor, Eor -> true
+  | (Update _ | Withdraw _ | Keepalive | Eor), _ -> false
+
 let kind_label = function
   | Update _ -> "update"
   | Withdraw _ -> "withdraw"

@@ -15,6 +15,10 @@ val prefix : t -> Net.Prefix.t option
 (** The prefix a routing message is about; [None] for session-level
     messages ([Keepalive], [Eor]). *)
 
+val equal : t -> t -> bool
+(** Structural equality; attributes are compared with {!Net.Attr.equal},
+    never with polymorphic [=] (which would see their hash-cons ids). *)
+
 val kind_label : t -> string
 (** ["update" | "withdraw" | "keepalive" | "eor"] — stable labels for
     traces and causal events. *)

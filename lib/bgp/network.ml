@@ -124,37 +124,27 @@ let create ?(seed = 42) ?(config = Speaker.default_config)
 
 (* ---------------- FIB tracking ---------------- *)
 
-let fib_assoc speaker = Speaker.fib speaker
-
-let record_fib_diff t device before after =
-  let time = now t in
-  let find prefix l =
-    Option.map snd (List.find_opt (fun (p, _) -> Net.Prefix.equal p prefix) l)
-  in
-  let change prefix state =
-    Obs.Metrics.incr m_fib_changes;
-    if Obs.Causal.on () then
-      ignore
-        (Obs.Causal.fib ~time ~device
-           ~prefix:(Net.Intern.Prefix_id.id prefix)
-           ~note:(match state with None -> "remove" | Some _ -> "install"));
-    Trace.record t.trace_log (Trace.Fib_change { time; device; prefix; state })
-  in
-  (* Removed or changed entries. Typed comparison: polymorphic [<>] on
-     attribute-bearing state would walk (or miscompare) interned values. *)
-  List.iter
-    (fun (prefix, state_before) ->
-      match find prefix after with
-      | None -> change prefix None
-      | Some state_after ->
-        if not (Speaker.fib_state_equal state_after state_before) then
-          change prefix (Some state_after))
-    before;
-  (* New entries. *)
-  List.iter
-    (fun (prefix, state_after) ->
-      if Option.is_none (find prefix before) then change prefix (Some state_after))
-    after
+(* Records the FIB changes of the transition [Speaker.begin_fib_delta]
+   opened on [sp]: removed or changed entries first, then new ones, each
+   group in canonical prefix order. *)
+let record_fib_delta t device sp =
+  match Speaker.fib_delta sp with
+  | [] -> ()
+  | delta ->
+    let time = now t in
+    let change (d : Speaker.fib_delta) =
+      Obs.Metrics.incr m_fib_changes;
+      let prefix = d.Speaker.prefix and state = d.Speaker.after in
+      if Obs.Causal.on () then
+        ignore
+          (Obs.Causal.fib ~time ~device
+             ~prefix:(Net.Intern.Prefix_id.id prefix)
+             ~note:(match state with None -> "remove" | Some _ -> "install"));
+      Trace.record t.trace_log
+        (Trace.Fib_change { time; device; prefix; state })
+    in
+    List.iter (fun d -> if Option.is_some d.Speaker.before then change d) delta;
+    List.iter (fun d -> if Option.is_none d.Speaker.before then change d) delta
 
 (* ---------------- Message dispatch ---------------- *)
 
@@ -308,9 +298,9 @@ and deliver t ~src ~dst ~session ~cause msg =
            ignore
              (Obs.Causal.recv ~time:(now t) ~device:dst ~peer:src ~session
                 ~prefix:(msg_pid msg) ~note:(Msg.kind_label msg) ~parent:cause));
-        let before = fib_assoc sp in
+        Speaker.begin_fib_delta sp;
         let outbox = Speaker.receive sp (env t) ~peer:src ~session msg in
-        record_fib_diff t dst before (fib_assoc sp);
+        record_fib_delta t dst sp;
         dispatch t dst outbox
     end
     else causal_drop "session-down"
@@ -320,9 +310,9 @@ and deliver t ~src ~dst ~session ~cause msg =
 (* Runs [f] on the speaker, records FIB changes, dispatches messages. *)
 let transition t device f =
   let sp = speaker t device in
-  let before = fib_assoc sp in
+  Speaker.begin_fib_delta sp;
   let outbox = f sp (env t) in
-  record_fib_diff t device before (fib_assoc sp);
+  record_fib_delta t device sp;
   dispatch t device outbox
 
 let schedule ?(delay = 0.0) t f =
@@ -603,7 +593,7 @@ let fault t = t.fault
 let restart_device ?(delay = 0.0) t device ~recovery =
   schedule ~delay t (fun () ->
       let sp = speaker t device in
-      let before = fib_assoc sp in
+      Speaker.begin_fib_delta sp;
       (* The crash is a causal root: everything that follows — peer session
          losses, stale marks and sweeps, the eventual recovery resync —
          parents to this event. *)
@@ -618,7 +608,7 @@ let restart_device ?(delay = 0.0) t device ~recovery =
       Obs.Metrics.incr m_restarts;
       Trace.record t.trace_log
         (Trace.Speaker_restarted { time = now t; device });
-      record_fib_diff t device before (fib_assoc sp);
+      record_fib_delta t device sp;
       let incident = Topology.Graph.all_neighbors t.topo device in
       (* Peers detect the dead sessions (holdtime expiry, modeled as
          immediate). Legacy: they flush routes learned from the device.

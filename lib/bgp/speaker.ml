@@ -79,6 +79,11 @@ type t = {
      Full_table mode ignores it and re-decides everything (the debug
      oracle both modes must agree with bit-for-bit). *)
   dirty : (int, unit) Hashtbl.t;
+  (* FIB delta journal: prefix id -> its FIB state before the first write
+     since the last [begin_fib_delta]. Every FIB write goes through
+     [fib_set] / [fib_remove], so the prefixes absent from here are exactly
+     the ones whose FIB entry is untouched. *)
+  fib_journal : (int, fib_state option) Hashtbl.t;
 }
 
 type outbox = (int * int * Msg.t) list
@@ -102,6 +107,7 @@ let create ?(config = default_config) ?(hooks = Rib_policy.native) node =
     fib_stale = Hashtbl.create 8;
     mode = Incremental;
     dirty = Hashtbl.create 16;
+    fib_journal = Hashtbl.create 16;
   }
 
 let set_graceful_restart t enabled = t.graceful_restart <- enabled
@@ -161,6 +167,43 @@ let make_ctx t env prefix : Rib_policy.ctx =
                | None -> false)
              (peers t)));
   }
+
+(* ---------------- FIB writes and the delta journal ---------------- *)
+
+let journal_fib t p =
+  if not (Hashtbl.mem t.fib_journal p) then
+    Hashtbl.replace t.fib_journal p (Hashtbl.find_opt t.fib_table p)
+
+let fib_set t p state =
+  journal_fib t p;
+  Hashtbl.replace t.fib_table p state
+
+let fib_remove t p =
+  journal_fib t p;
+  Hashtbl.remove t.fib_table p
+
+type fib_delta = {
+  prefix : Net.Prefix.t;
+  before : fib_state option;
+  after : fib_state option;
+}
+
+let begin_fib_delta t =
+  if Hashtbl.length t.fib_journal > 0 then Hashtbl.reset t.fib_journal
+
+let fib_delta t =
+  Hashtbl.fold
+    (fun p before acc ->
+      let after = Hashtbl.find_opt t.fib_table p in
+      let same =
+        match (before, after) with
+        | None, None -> true
+        | Some a, Some b -> fib_state_equal a b
+        | None, Some _ | Some _, None -> false
+      in
+      if same then acc else { prefix = prefix_of p; before; after } :: acc)
+    t.fib_journal []
+  |> List.sort (fun a b -> Net.Prefix.compare a.prefix b.prefix)
 
 (* ---------------- Candidate gathering ---------------- *)
 
@@ -288,7 +331,22 @@ let all_peer_ids t =
   Hashtbl.fold (fun peer _ acc -> peer :: acc) t.session_count []
   |> List.sort Int.compare
 
-let desired_advert t ctx prefix ~peer ~(adv : Path.t option) ~total_weight =
+(* A one-entry [prepare_advert] memo keyed on physical equality, for one
+   decision: without per-peer export policy every peer's advert starts from
+   the physically same attribute, so it is prepared once instead of once
+   per peer. Exact, because [prepare_advert] is pure for a fixed
+   [total_weight]. *)
+let advert_preparer t ~total_weight =
+  let last = ref None in
+  fun attr ->
+    match !last with
+    | Some (input, prepared) when input == attr -> prepared
+    | Some _ | None ->
+      let prepared = prepare_advert t attr ~total_weight in
+      last := Some (attr, prepared);
+      prepared
+
+let desired_advert t ctx prefix ~peer ~(adv : Path.t option) ~prepare =
   match adv with
   | None -> None
   | Some path ->
@@ -305,7 +363,7 @@ let desired_advert t ctx prefix ~peer ~(adv : Path.t option) ~total_weight =
          | None -> None
          | Some attr ->
            if not (t.hooks.Rib_policy.egress_accept ctx ~peer attr) then None
-           else Some (prepare_advert t attr ~total_weight))
+           else Some (prepare attr))
     end
 
 (* ---------------- Evaluation ---------------- *)
@@ -332,14 +390,15 @@ let compute t env p : desired =
   | Some origin_attr ->
     (* Locally originated: FIB is Local; advertise to every peer. *)
     let self_path = Path.make ~peer:(id t) ~session:(-1) ~attr:origin_attr in
+    let prepare = advert_preparer t ~total_weight:1 in
     {
       d_fib = Some Local;
       d_adverts =
         List.map
           (fun peer ->
             ( peer,
-              desired_advert t ctx prefix ~peer ~adv:(Some self_path)
-                ~total_weight:1 ))
+              desired_advert t ctx prefix ~peer ~adv:(Some self_path) ~prepare
+            ))
           (all_peer_ids t);
     }
   | None ->
@@ -351,7 +410,7 @@ let compute t env p : desired =
       | [] -> None
       | selected -> Some (Entries (weighted_entries t ctx selected))
     in
-    let total_weight = total_weight_of_fib d_fib in
+    let prepare = advert_preparer t ~total_weight:(total_weight_of_fib d_fib) in
     {
       d_fib;
       d_adverts =
@@ -359,21 +418,21 @@ let compute t env p : desired =
           (fun peer ->
             ( peer,
               desired_advert t ctx prefix ~peer ~adv:sel.Rib_policy.advertise
-                ~total_weight ))
+                ~prepare ))
           (all_peer_ids t);
     }
 
 let commit t p desired : outbox =
   (match desired.d_fib with
    | Some state ->
-     Hashtbl.replace t.fib_table p state;
+     fib_set t p state;
      (* Fresh routing state supersedes any preserved-across-restart entry. *)
      Hashtbl.remove t.fib_stale p
    | None ->
      (* After our own graceful restart the FIB entry outlives its RIBs:
         keep forwarding on the preserved entry until it is either
         re-learned (Some above) or expired by the stale-path sweep. *)
-     if not (Hashtbl.mem t.fib_stale p) then Hashtbl.remove t.fib_table p);
+     if not (Hashtbl.mem t.fib_stale p) then fib_remove t p);
   List.concat_map
     (fun (peer, d) -> advertise_to t p ~peer ~desired:d)
     desired.d_adverts
@@ -510,7 +569,7 @@ let originate t env prefix attr =
 let withdraw_origin t env prefix =
   let p = pid prefix in
   Hashtbl.remove t.origin_table p;
-  Hashtbl.remove t.fib_table p;
+  fib_remove t p;
   evaluate_pids t env [ p ]
 
 (* Removes routes from (peer, session) whose stale mark is at or before
@@ -768,7 +827,7 @@ let reset t =
     List.iter (fun p -> Hashtbl.replace t.fib_stale p ()) learned
   else begin
     Hashtbl.reset t.fib_stale;
-    List.iter (Hashtbl.remove t.fib_table) learned
+    List.iter (fib_remove t) learned
   end;
   let sessions = Hashtbl.fold (fun k _ acc -> k :: acc) t.session_state [] in
   List.iter (fun k -> Hashtbl.replace t.session_state k false) sessions;

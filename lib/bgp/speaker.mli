@@ -126,9 +126,38 @@ val set_egress_policy_all : t -> env -> Policy.t -> outbox
 val set_hooks : t -> env -> Rib_policy.hooks -> outbox
 (** Deploying or removing an RPA re-evaluates every prefix. *)
 
+(** {1 FIB deltas}
+
+    Every FIB write (a decision's commit, {!withdraw_origin}, {!reset})
+    journals the prefix's state from before the first write since the last
+    {!begin_fib_delta}. The journal therefore names exactly the prefixes a
+    transition touched, and reading the delta costs O(touched), not O(FIB).
+    The network layer brackets each transition with the two calls below;
+    writes made outside such a bracket are discarded by the next
+    {!begin_fib_delta}. *)
+
+type fib_delta = {
+  prefix : Net.Prefix.t;
+  before : fib_state option;  (** [None]: absent before *)
+  after : fib_state option;  (** [None]: removed *)
+}
+
+val begin_fib_delta : t -> unit
+(** Clears the journal: the next {!fib_delta} reports only writes made from
+    now on. *)
+
+val fib_delta : t -> fib_delta list
+(** Journaled prefixes whose state really changed ([before] and [after]
+    differ under {!fib_state_equal}), in canonical prefix order. Does not
+    clear the journal. *)
+
 (** {1 Inspection} *)
 
 val fib : t -> (Net.Prefix.t * fib_state) list
+(** The whole FIB, sorted by prefix. Inspection only: it builds and sorts a
+    list of every entry, so it stays off the per-message path (use
+    {!fib_delta} there). *)
+
 val fib_lookup : t -> Net.Prefix.t -> fib_state option
 (** Exact-match lookup. *)
 

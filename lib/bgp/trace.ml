@@ -35,6 +35,39 @@ type event =
       detail : string;
     }
 
+let opt_equal eq a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> eq a b
+  | None, Some _ | Some _, None -> false
+
+let event_equal a b =
+  match (a, b) with
+  | Fib_change a, Fib_change b ->
+    Float.equal a.time b.time && a.device = b.device
+    && Net.Prefix.equal a.prefix b.prefix
+    && opt_equal Speaker.fib_state_equal a.state b.state
+  | Message_sent a, Message_sent b ->
+    Float.equal a.time b.time && a.src = b.src && a.dst = b.dst
+    && a.session = b.session && Msg.equal a.msg b.msg
+  | Message_dropped a, Message_dropped b ->
+    Float.equal a.time b.time && a.src = b.src && a.dst = b.dst
+    && a.session = b.session && Msg.equal a.msg b.msg
+  | Speaker_restarted a, Speaker_restarted b ->
+    Float.equal a.time b.time && a.device = b.device
+  | Session_event a, Session_event b ->
+    Float.equal a.time b.time && a.device = b.device && a.peer = b.peer
+    && a.session = b.session && String.equal a.event b.event
+  | Violation a, Violation b ->
+    Float.equal a.time b.time
+    && opt_equal Int.equal a.device b.device
+    && opt_equal Net.Prefix.equal a.prefix b.prefix
+    && String.equal a.kind b.kind && String.equal a.detail b.detail
+  | ( ( Fib_change _ | Message_sent _ | Message_dropped _ | Speaker_restarted _
+      | Session_event _ | Violation _ ),
+      _ ) ->
+    false
+
 (* Events live in an append-friendly growable array; the forward list the
    public API exposes is memoized against the current length so repeated
    [events] calls on an unchanged trace (fib_timeline, the invariant

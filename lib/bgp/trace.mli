@@ -50,6 +50,12 @@ type event =
           with the event-queue time at which it was observed. [kind] is a
           stable machine-readable tag; [detail] is for humans. *)
 
+val event_equal : event -> event -> bool
+(** Full structural equality over every field, typed: messages through
+    {!Msg.equal}, FIB states through {!Speaker.fib_state_equal}. Use it
+    instead of polymorphic [=], which would compare attribute hash-cons
+    ids. *)
+
 type t
 
 val create : unit -> t

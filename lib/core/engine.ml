@@ -12,8 +12,8 @@ type mutable_stats = {
 type t = {
   rpa : Rpa.t;
   cache_enabled : bool;
-  (* (signature id, attributes) -> did the signature match *)
-  sig_cache : (int * Net.Attr.t, bool) Hashtbl.t;
+  (* (signature id, interned attribute id) -> did the signature match *)
+  sig_cache : (int * int, bool) Hashtbl.t;
   (* signatures indexed by physical identity *)
   signatures : Signature.t array;
   m_stats : mutable_stats;
@@ -94,7 +94,9 @@ let sig_matches t s attr =
     let id = sig_id t s in
     if id < 0 then Signature.matches s attr
     else
-      let key = (id, attr) in
+      (* Keyed on the hash-cons id: integer hashing, and a structurally
+         equal attribute hits whether or not the caller interned it. *)
+      let key = (id, (Net.Attr.intern attr).Net.Attr.id) in
       match Hashtbl.find_opt t.sig_cache key with
       | Some result ->
         t.m_stats.hit_count <- t.m_stats.hit_count + 1;

@@ -99,7 +99,7 @@ let test_hold_expiry_deterministic () =
   check_bool "some expiries" true (h1 >= 1);
   check_int "expiries reproducible" h1 h2;
   check_int "reconnects reproducible" r1 r2;
-  check_bool "trace bit-identical" true (e1 = e2)
+  check_bool "trace bit-identical" true (List.equal Bgp.Trace.event_equal e1 e2)
 
 (* ---------------- stale-path sweep ---------------- *)
 

@@ -359,6 +359,119 @@ let test_attr_equal () =
   check_bool "equal" true (Attr.equal a b);
   check_bool "not equal" false (Attr.equal a (Attr.make ~local_pref:100 ()))
 
+(* Intern-once invariants. Fields are drawn from tiny domains so that
+   structurally equal pairs (the case [id] could get wrong) are common. *)
+
+type attr_fields = {
+  f_origin : Attr.origin;
+  f_path : int list;
+  f_lp : int;
+  f_med : int;
+  f_comms : int list;
+  f_lbw : int option;
+}
+
+let build f =
+  Attr.make ~origin:f.f_origin
+    ~as_path:(As_path.of_asns (List.map asn f.f_path))
+    ~local_pref:f.f_lp ~med:f.f_med
+    ~communities:
+      (Community.Set.of_list (List.map (Community.make 65100) f.f_comms))
+    ?link_bandwidth:f.f_lbw ()
+
+let fields_gen =
+  QCheck.Gen.(
+    map
+      (fun ((o, path, lp), (med, comms, lbw)) ->
+        {
+          f_origin = (match o with 0 -> Attr.Igp | 1 -> Attr.Egp | _ -> Attr.Incomplete);
+          f_path = path;
+          f_lp = 100 + lp;
+          f_med = med;
+          f_comms = comms;
+          f_lbw = lbw;
+        })
+      (pair
+         (triple (int_bound 1) (list_size (int_bound 2) (int_range 1 2)) (int_bound 1))
+         (triple (int_bound 1) (list_size (int_bound 2) (int_range 1 2))
+            (opt (int_range 1 2)))))
+
+let fields_print f = Format.asprintf "%a" Attr.pp (build f)
+
+let fields_arb = QCheck.make ~print:fields_print fields_gen
+
+let interned a = a.Attr.id >= 0
+
+let prop_intern_idempotent =
+  QCheck.Test.make ~name:"intern (intern a) == intern a" ~count:300 fields_arb
+    (fun f ->
+      let a = build f in
+      let c = Attr.intern a in
+      (not (interned a))
+      && interned c
+      && Attr.intern c == c
+      && Attr.intern (build f) == c
+      && Attr.compare a c = 0)
+
+let prop_equal_agrees_with_compare =
+  QCheck.Test.make ~name:"equal agrees with compare = 0, interned or not"
+    ~count:500 (QCheck.pair fields_arb fields_arb) (fun (f, g) ->
+      let variants f = [ build f; Attr.intern (build f) ] in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b -> Bool.equal (Attr.equal a b) (Attr.compare a b = 0))
+            (variants g))
+        (variants f))
+
+(* Each setter, and each value-changing [Bgp.Policy] action, must hand back
+   a fresh non-interned value that re-interns to the canonical of the
+   attribute built structurally with the new field. ([Accept] returns its
+   input and [Reject] returns nothing: they change no value.) *)
+let prop_setters_reset_id =
+  QCheck.Test.make ~name:"setters and policy actions return non-interned values"
+    ~count:300 fields_arb (fun f ->
+      let a = Attr.intern (build f) in
+      let self = asn 7 in
+      let policy action =
+        match
+          Bgp.Policy.apply
+            [ Bgp.Policy.rule [ action ] ]
+            ~self Prefix.default_v4 a
+        with
+        | Some r -> r
+        | None -> Alcotest.fail "value-changing action rejected the route"
+      in
+      let cases =
+        [
+          (Attr.with_prepended (asn 3) a, { f with f_path = 3 :: f.f_path });
+          (Attr.set_as_path (As_path.of_asns [ asn 5 ]) a, { f with f_path = [ 5 ] });
+          (Attr.add_community (Community.make 65100 9) a,
+           { f with f_comms = 9 :: f.f_comms });
+          (Attr.remove_community (Community.make 65100 1) a,
+           { f with f_comms = List.filter (( <> ) 1) f.f_comms });
+          (Attr.set_local_pref 300 a, { f with f_lp = 300 });
+          (Attr.set_med 4 a, { f with f_med = 4 });
+          (Attr.set_link_bandwidth (Some 8) a, { f with f_lbw = Some 8 });
+          (Attr.set_link_bandwidth None a, { f with f_lbw = None });
+          (policy (Bgp.Policy.Set_local_pref 300), { f with f_lp = 300 });
+          (policy (Bgp.Policy.Set_med 4), { f with f_med = 4 });
+          (policy (Bgp.Policy.Prepend_self 2), { f with f_path = 7 :: 7 :: f.f_path });
+          (policy (Bgp.Policy.Add_community (Community.make 65100 9)),
+           { f with f_comms = 9 :: f.f_comms });
+          (policy (Bgp.Policy.Remove_community (Community.make 65100 1)),
+           { f with f_comms = List.filter (( <> ) 1) f.f_comms });
+          (policy (Bgp.Policy.Set_link_bandwidth (Some 8)), { f with f_lbw = Some 8 });
+        ]
+      in
+      List.for_all
+        (fun (r, g) ->
+          (not (interned r)) && Attr.intern r == Attr.intern (build g))
+        cases)
+
+let attr_qcheck =
+  [ prop_intern_idempotent; prop_equal_agrees_with_compare; prop_setters_reset_id ]
+
 (* ---------------- Suite ---------------- *)
 
 let () =
@@ -417,5 +530,6 @@ let () =
           quick "prepend and communities" test_attr_prepend_and_communities;
           quick "origin rank" test_attr_origin_rank;
           quick "equal" test_attr_equal;
-        ] );
+        ]
+        @ List.map (QCheck_alcotest.to_alcotest ~long:false) attr_qcheck );
     ]
